@@ -28,6 +28,7 @@ from repro.core.uncoordinated import UncoordinatedProtocol
 from repro.core.cic import CommunicationInducedProtocol
 from repro.core.checkpoint_graph import CheckpointGraph, rollback_propagation
 from repro.core.recovery import build_replay_sets
+from repro.core.sendlog import SendLog
 from repro.core import zpaths
 
 __all__ = [
@@ -45,5 +46,6 @@ __all__ = [
     "CheckpointGraph",
     "rollback_propagation",
     "build_replay_sets",
+    "SendLog",
     "zpaths",
 ]

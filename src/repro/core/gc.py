@@ -140,17 +140,12 @@ def collect(job: "Job") -> GcStats:
     truncated = 0
     log_bytes = 0
     endpoints = _channel_endpoints(job)
-    for channel, messages in list(job.send_log.items()):
+    for channel in job.send_log.channels():
         _, receiver = endpoints[channel]
-        cursor = line[receiver].received_cursor(channel)
-        kept_messages = []
-        for message in messages:
-            if message.seq <= cursor:
-                truncated += 1
-                log_bytes += message.total_bytes
-            else:
-                kept_messages.append(message)
-        job.send_log[channel] = kept_messages
+        count, nbytes = job.send_log.truncate(
+            channel, line[receiver].received_cursor(channel))
+        truncated += count
+        log_bytes += nbytes
     return GcStats(deleted, bytes_freed, truncated, log_bytes,
                    blobs_deleted, blobs_pinned)
 

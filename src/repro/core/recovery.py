@@ -14,27 +14,25 @@ the no-dropping half of Definition 5 with exactly-once effects.
 from __future__ import annotations
 
 from repro.core.base import CheckpointMeta, InstanceKey
+from repro.core.sendlog import SendLog
 from repro.dataflow.channels import ChannelId, Message
 
 
 def build_replay_sets(
     line: dict[InstanceKey, CheckpointMeta],
-    send_log: dict[ChannelId, list[Message]],
+    send_log: SendLog,
     channel_endpoints: dict[ChannelId, tuple[InstanceKey, InstanceKey]],
 ) -> dict[ChannelId, list[Message]]:
     """Select the logged messages each channel must replay for this line."""
     replay: dict[ChannelId, list[Message]] = {}
-    for channel, messages in send_log.items():
+    for channel in send_log.channels():
         sender, receiver = channel_endpoints[channel]
         sender_cursor = line[sender].sent_cursor(channel)
         receiver_cursor = line[receiver].received_cursor(channel)
         if sender_cursor <= receiver_cursor:
             continue
-        selected = [
-            m for m in messages if receiver_cursor < m.seq <= sender_cursor
-        ]
+        selected = send_log.replay(channel, receiver_cursor, sender_cursor)
         if selected:
-            selected.sort(key=lambda m: m.seq)
             replay[channel] = selected
     return replay
 

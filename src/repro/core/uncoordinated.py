@@ -5,8 +5,9 @@ per-instance phase jitter).  Exactly-once needs three extra mechanisms, all
 implemented here or in the runtime:
 
 * **message logging** — every data message is appended to a durable
-  per-channel send log at send time (upstream backup); the CPU tax of the
-  append is the protocol's main failure-free cost;
+  per-channel send log at send time (upstream backup, the columnar
+  :class:`~repro.core.sendlog.SendLog`); the CPU tax of the append is the
+  protocol's main failure-free cost;
 * **recovery-line search** — the rollback propagation fixpoint over the
   checkpoint graph built from per-channel cursors
   (:mod:`repro.core.checkpoint_graph`);
@@ -163,7 +164,7 @@ class UncoordinatedProtocol(CheckpointProtocol):
         """Append the message to the durable per-channel send log."""
         if not self.logs_messages:
             return 0.0
-        self.job.send_log.setdefault(channel, []).append(msg)
+        self.job.send_log.append(channel, msg)
         return self.job.cost.log_append_cost(msg.record_count, msg.payload_bytes)
 
     # ------------------------------------------------------------------ #

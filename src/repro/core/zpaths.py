@@ -55,11 +55,7 @@ class ExecutionHistory:
             channel: ((edges_by_id[channel[0]].src, channel[1]), dst.key)
             for channel, dst in job.channel_dst.items()
         }
-        messages = [
-            (channel, msg.seq)
-            for channel, msgs in job.send_log.items()
-            for msg in msgs
-        ]
+        messages = list(job.send_log.entries())
         checkpoints = {
             key: job.registry.with_initial(key) for key in job.instance_keys()
         }

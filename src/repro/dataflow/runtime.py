@@ -29,6 +29,7 @@ from dataclasses import replace
 from typing import Any, Callable
 
 from repro.core.base import CheckpointMeta, CheckpointRegistry, create_protocol
+from repro.core.sendlog import SendLog
 from repro.dataflow.batch import RecordBatch
 from repro.dataflow.channels import ChannelId, Message, Partitioner, Records
 from repro.dataflow.coordinator import Coordinator
@@ -53,6 +54,7 @@ from repro.metrics.collectors import UNCOORDINATED_KINDS, CheckpointEvent, Metri
 from repro.sim.costs import RuntimeConfig
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
+from repro.storage.blobstore import BlobStore
 from repro.storage.kafka import PartitionedLog
 
 __all__ = ["InstanceKey", "Job", "RunResult"]
@@ -138,7 +140,7 @@ class Job:
             WorkerRuntime(self, i) for i in range(parallelism)
         ]
         #: durable per-channel send log (UNC/CIC upstream backup)
-        self.send_log: dict[ChannelId, list[Message]] = {}
+        self.send_log = SendLog()
         self.channel_dst: dict[ChannelId, InstanceRuntime] = {}
         self._partitioners: dict[int, Partitioner] = {}
         self.transport = Transport(self)
@@ -610,3 +612,23 @@ class Job:
             completed_rounds=set(self.completed_rounds),
             final_parallelism=self.parallelism,
         )
+
+    def close(self) -> None:
+        """Release a finished job's bulk now (DESIGN.md section 19).
+
+        Every layer of a job points back at the job, so a finished one is
+        a web of reference cycles that only a full collection of the
+        cyclic garbage collector frees, and full collections are rare
+        when a run allocates few tracked objects.  ``close`` drops the
+        parts that grow with the run — pending events, the send log, the
+        checkpoint blobs, and the workers' queued work and operator and
+        dedup state — so reference counting frees them at once.  The
+        run's metrics stay readable; the job cannot run again.
+        """
+        self.sim.clear()
+        self.send_log = SendLog()
+        self.coordinator.blobstore = BlobStore()
+        for worker in self.workers:
+            worker.reset_for_recovery()
+            for instance in worker.instances.values():
+                instance.release()

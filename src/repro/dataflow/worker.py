@@ -148,6 +148,17 @@ class InstanceRuntime(OperatorContext):
             self.router.clear()
         self.job.state_backend.on_reset(self)
 
+    def release(self) -> None:
+        """Drop the state a finished run accumulated (``Job.close``).
+
+        Installs a fresh, unopened operator in place of the stateful one
+        and empties the dedup set, so neither waits for the job's cycles
+        to be collected.
+        """
+        self.operator = self.spec.factory()
+        self.processed_rids = set()
+        self.rid_journal = None
+
     def capture_snapshot(self) -> dict[str, Any]:
         """Copy everything a rollback needs to reinstall this instance."""
         return {

@@ -381,6 +381,18 @@ def table2_message_overhead(scale: ExperimentScale | None = None) -> dict:
     return {"rows": rows, "measured": measured, "checks": checks, "text": text}
 
 
+def _ct_cell(result: RunResult) -> float | str:
+    """Average checkpoint time (ms) as a table cell.
+
+    A run that measured no checkpoint prints ``n/a``:
+    ``avg_checkpoint_time()`` returns 0.0 for it, which would read as an
+    instant checkpoint.  Shape checks keep using the numeric value.
+    """
+    if result.total_checkpoints() == 0:
+        return "n/a"
+    return result.avg_checkpoint_time() * 1000.0
+
+
 # --------------------------------------------------------------------- #
 # Figure 8 — average checkpointing time
 # --------------------------------------------------------------------- #
@@ -409,7 +421,7 @@ def fig8_checkpoint_time(scale: ExperimentScale | None = None) -> dict:
                 ct_ms = result.avg_checkpoint_time() * 1000.0
                 measured[(query, protocol, parallelism)] = ct_ms
                 paper = ref.FIG8_CHECKPOINT_TIME_MS.get((protocol, parallelism), {}).get(query)
-                rows.append([parallelism, query, protocol, ct_ms,
+                rows.append([parallelism, query, protocol, _ct_cell(result),
                              paper if paper is not None else "-"])
     shuffling = [q for q in NEXMARK_ORDER if q != "q1"]
     checks = [
@@ -636,7 +648,7 @@ def fig12_skew(scale: ExperimentScale | None = None,
                     ct = result.avg_checkpoint_time() * 1000.0
                     measured[(fraction, query, hot, protocol)] = (p50 * 1000.0, ct)
                     rows.append([f"{fraction:.0%}", query, f"{hot:.0%}",
-                                 protocol, p50 * 1000.0, ct])
+                                 protocol, p50 * 1000.0, _ct_cell(result)])
     checks = _fig12_checks(measured, scale, rate_fractions)
     text = format_table(
         ["MST frac", "query", "hot", "protocol", "p50 (ms)", "avg CT (ms)"],
@@ -803,7 +815,7 @@ def state_size_backends(scale: ExperimentScale | None = None) -> dict:
                     duration, protocol, backend,
                     result.total_checkpoints(),
                     uploaded / 1e6, materialized / 1e6, ratio,
-                    result.avg_checkpoint_time() * 1000.0,
+                    _ct_cell(result),
                     result.restart_time() * 1000.0,
                 ])
     checks = _state_size_checks(measured, durations)
@@ -1309,7 +1321,7 @@ def table4_cyclic(scale: ExperimentScale | None = None) -> dict:
             measured[(protocol, workers)] = (ct, rt, invalid)
             paper = ref.TABLE4_CYCLIC.get((protocol, workers))
             rows.append([
-                workers, protocol, ct, rt, invalid,
+                workers, protocol, _ct_cell(result), rt, invalid,
                 f"{paper[0]}ms/{paper[1]:.0f}ms/{paper[2]}%" if paper else "-",
             ])
     checks = [

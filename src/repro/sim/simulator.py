@@ -60,6 +60,10 @@ class Simulator:
         """Events still scheduled (cancelled ones excluded)."""
         return len(self._queue)
 
+    def clear(self) -> None:
+        """Drop every pending event (the clock and counters stay)."""
+        self._queue.clear()
+
     def stop(self) -> None:
         """Request the run loop to halt after the current event."""
         self._stopped = True

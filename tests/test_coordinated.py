@@ -61,7 +61,7 @@ def test_aligned_cut_has_no_inflight_messages():
 
 def test_no_message_logging_under_coor():
     job, _ = coor_job()
-    assert job.send_log == {}
+    assert len(job.send_log) == 0
 
 
 def test_markers_counted_as_protocol_bytes():

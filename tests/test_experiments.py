@@ -165,3 +165,35 @@ def test_arrivals_figure_structure():
             assert m["parked"] > 0
         if cap == "tight" and label == "steady":
             assert m["parked"] == 0
+
+
+def test_fig8_prints_na_for_runs_without_checkpoints(monkeypatch):
+    """A run that measured no checkpoint renders ``n/a``, never ``0.000``;
+    the numeric value (0.0) still feeds the shape checks."""
+    from tests.conftest import run_count_job
+
+    _, silent = run_count_job("coor", failure_at=None, checkpoint_interval=100.0)
+    _, busy = run_count_job("unc", failure_at=None)
+    assert silent.total_checkpoints() == 0 and silent.avg_checkpoint_time() == 0.0
+    assert busy.total_checkpoints() > 0
+    # the cell helper every checkpoint-time column (fig8, fig12,
+    # state_size, table4) renders through
+    assert figures._ct_cell(silent) == "n/a"
+    assert figures._ct_cell(busy) == busy.avg_checkpoint_time() * 1000.0
+
+    monkeypatch.setattr(figures, "_warm_msts", lambda *args: None)
+    monkeypatch.setattr(figures, "_warm", lambda *args: None)
+    monkeypatch.setattr(figures, "_steady_request", lambda *args: None)
+    monkeypatch.setattr(
+        figures, "get_steady_run",
+        lambda query, protocol, *rest: silent if protocol == "coor" else busy)
+    out = figures.fig8_checkpoint_time(QUICK)
+    cells = [[c.strip() for c in line.split("|")]
+             for line in out["text"].splitlines() if line.count("|") == 4]
+    assert {row[3] for row in cells if row[2] == "coor"} == {"n/a"}
+    busy_ms = f"{busy.avg_checkpoint_time() * 1000.0:.2f}"
+    assert {row[3] for row in cells if row[2] == "unc"} == {busy_ms}
+    assert "0.000" not in out["text"]
+    assert all(ct == 0.0 for (_, proto, _), ct in out["measured"].items()
+               if proto == "coor")
+    assert [passed for _, passed in out["checks"]] == [True, False]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.base import CheckpointMeta, initial_checkpoint
 from repro.core.checkpoint_graph import CheckpointGraph, maximal_consistent_line
 from repro.core.recovery import build_replay_sets
+from repro.core.sendlog import SendLog
 from repro.dataflow.channels import DATA, Message, Partitioner, hash_key
 from repro.dataflow.graph import EdgeSpec, Partitioning
 from repro.dataflow.records import StreamRecord
@@ -54,8 +55,10 @@ def test_replay_window_bounds(recv, sent, n_log):
         a: CheckpointMeta(a, 1, "local", None, 0, 0, 0, "", {ch: sent}, {}, None),
         b: CheckpointMeta(b, 1, "local", None, 0, 0, 0, "", {}, {ch: recv}, None),
     }
-    log = {ch: [Message(channel=ch, seq=s, kind=DATA, records=[], payload_bytes=0)
-                for s in range(1, n_log + 1)]}
+    log = SendLog()
+    for s in range(1, n_log + 1):
+        log.append(ch, Message(channel=ch, seq=s, kind=DATA, records=[],
+                               payload_bytes=0))
     replay = build_replay_sets(line, log, {ch: (a, b)})
     seqs = [m.seq for m in replay.get(ch, [])]
     assert seqs == [s for s in range(1, n_log + 1) if recv < s <= sent]

@@ -4,6 +4,7 @@
 from repro.core.recovery import build_replay_sets, rollback_distance_records
 from repro.dataflow.channels import DATA, Message
 from repro.core.base import CheckpointMeta, initial_checkpoint
+from repro.core.sendlog import SendLog
 
 from tests.conftest import run_count_job
 
@@ -11,13 +12,15 @@ from tests.conftest import run_count_job
 def test_send_log_has_sequential_seqs_per_channel():
     job, _ = run_count_job("unc", failure_at=None)
     assert job.send_log, "UNC must log data messages"
-    for channel, messages in job.send_log.items():
+    for channel in job.send_log.channels():
+        messages = job.send_log.messages(channel)
         assert [m.seq for m in messages] == list(range(1, len(messages) + 1))
 
 
 def test_logged_messages_cover_all_sent_records():
     job, result = run_count_job("unc", failure_at=None)
-    logged_records = sum(m.record_count for v in job.send_log.values() for m in v)
+    logged_records = sum(m.record_count for ch in job.send_log.channels()
+                         for m in job.send_log.messages(ch))
     assert logged_records == result.metrics.records_sent
 
 
@@ -113,28 +116,35 @@ def _msg(seq):
     return Message(channel=CH, seq=seq, kind=DATA, records=[], payload_bytes=10)
 
 
+def _log(seqs):
+    log = SendLog()
+    for seq in seqs:
+        log.append(CH, _msg(seq))
+    return log
+
+
 def test_replay_selects_inflight_window():
     line = {A: _meta(A, 1, sent={CH: 5}), B: _meta(B, 1, received={CH: 2})}
-    log = {CH: [_msg(s) for s in range(1, 9)]}
+    log = _log(range(1, 9))
     replay = build_replay_sets(line, log, {CH: (A, B)})
     assert [m.seq for m in replay[CH]] == [3, 4, 5]
 
 
 def test_replay_empty_when_receiver_caught_up():
     line = {A: _meta(A, 1, sent={CH: 5}), B: _meta(B, 1, received={CH: 5})}
-    log = {CH: [_msg(s) for s in range(1, 6)]}
+    log = _log(range(1, 6))
     assert build_replay_sets(line, log, {CH: (A, B)}) == {}
 
 
 def test_replay_from_initial_checkpoints_is_empty():
     line = {A: initial_checkpoint(A), B: initial_checkpoint(B)}
-    log = {CH: [_msg(1)]}
+    log = _log([1])
     assert build_replay_sets(line, log, {CH: (A, B)}) == {}
 
 
 def test_replay_sorted_by_seq():
     line = {A: _meta(A, 1, sent={CH: 4}), B: _meta(B, 1, received={CH: 0})}
-    log = {CH: [_msg(3), _msg(1), _msg(4), _msg(2)]}
+    log = _log([3, 1, 4, 2])
     replay = build_replay_sets(line, log, {CH: (A, B)})
     assert [m.seq for m in replay[CH]] == [1, 2, 3, 4]
 
